@@ -36,6 +36,8 @@ bus and recorder only read.  Two fleets built with the same arguments
 produce bit-identical latency distributions (tests/test_fleet.py).
 """
 
+from collections import deque
+
 from repro.cluster.steering import (
     STEERING_FACTORIES,
     FlowHashSteering,
@@ -145,7 +147,7 @@ class FleetMachine:
         self.workers = workers
         self.queue_cap = queue_cap
         self.qdisc = qdisc
-        self._fifo = [] if qdisc is None else None
+        self._fifo = deque() if qdisc is None else None
         self.busy = 0
         self.alive = True
         self.link_up = True
@@ -225,7 +227,7 @@ class FleetMachine:
         if self.busy >= self.workers:
             return
         nxt = (self.qdisc.take() if self.qdisc is not None
-               else (self._fifo.pop(0) if self._fifo else None))
+               else (self._fifo.popleft() if self._fifo else None))
         if nxt is not None:
             self._begin_service(nxt)
 
@@ -346,9 +348,13 @@ class TorSwitch:
         for i, p99 in enumerate(p99s):
             self.p99_map.update(i, p99)
 
-    def pick(self, request):
-        """Run the matching policy; returns a machine index or None (drop)."""
-        policy = self.policy_for(request)
+    def pick(self, request, policy=None):
+        """Run the matching policy; returns a machine index or None (drop).
+
+        A caller that already resolved ``policy_for(request)`` passes it.
+        """
+        if policy is None:
+            policy = self.policy_for(request)
         index = policy.pick(request, self)
         if index is None and policy is not self.default:
             index = self.default.pick(request, self)
@@ -534,6 +540,10 @@ class Fleet:
             clock=lambda: self.engine.now, enabled=metrics, spans=spans,
         )
         self.spans = self.obs.spans
+        self._m_forwarded = self.obs.registry.counter(
+            "fleet", "switch", "forwarded")
+        self._m_completed = self.obs.registry.counter(
+            "fleet", "fleet", "completed")
         if timeseries and metrics:
             interval = (DEFAULT_INTERVAL_US if timeseries is True
                         else float(timeseries))
@@ -714,7 +724,8 @@ class Fleet:
         self._steer(request, resteer=True)
 
     def _steer(self, request, resteer):
-        index = self.switch.pick(request)
+        policy = self.switch.policy_for(request)
+        index = self.switch.pick(request, policy)
         if index is None:
             self.switch.dropped += 1
             self.drop(request, "steering_drop")
@@ -722,8 +733,7 @@ class Fleet:
         request.machine = index
         request.attempts += 1
         self.switch.forwarded[index] += 1
-        self.obs.registry.counter("fleet", "switch", "forwarded").inc()
-        policy = self.switch.policy_for(request)
+        self._m_forwarded.inc()
         self.spans.switch_steer(request, index,
                                 getattr(policy, "name", "custom"),
                                 resteer=resteer)
@@ -749,7 +759,7 @@ class Fleet:
             self.machine_sketches[request.machine].add(now - request.sent_at)
         self.outstanding -= 1
         self.completed += 1
-        self.obs.registry.counter("fleet", "fleet", "completed").inc()
+        self._m_completed.inc()
         tenant = request.tenant
         if tenant is not None:
             self.tenant_completed[tenant] = \

@@ -176,7 +176,7 @@ class ReuseportGroup:
 
     def default_select(self, packet):
         """Linux's default: hash of the datagram's 5-tuple."""
-        return rss_hash(packet.flow, salt=0x5EED) % len(self.sockets)
+        return rss_hash(packet.flow, 0x5EED) % len(self.sockets)
 
     def __len__(self):
         return len(self.sockets)

@@ -5,8 +5,14 @@ the packed 5-tuple plus a salt, which shares the properties that matter for
 the paper's results: deterministic per flow, uniform over flows, and — with
 few flows and few buckets — prone to exactly the imbalance that makes
 "Vanilla Linux" drop requests in Figure 2.
+
+Workloads draw their packets from a fixed pool of flows, so
+:func:`rss_hash` is memoized per ``(flow, salt)``: NIC RSS, reuseport
+select and the micro-tier switch hash each flow once per salt instead of
+once per packet.
 """
 
+import functools
 import struct
 
 __all__ = ["rss_hash", "rss_queue"]
@@ -18,8 +24,9 @@ _MASK = (1 << 64) - 1
 _PACK = struct.Struct("<IHIHBI")
 
 
+@functools.lru_cache(maxsize=4096)
 def rss_hash(flow, salt=0):
-    """Hash a :class:`~repro.net.packet.FiveTuple` to a u32."""
+    """Hash a :class:`~repro.net.packet.FiveTuple` to a u32 (memoized)."""
     data = _PACK.pack(
         flow.src_ip & 0xFFFFFFFF,
         flow.src_port & 0xFFFF,

@@ -54,7 +54,7 @@ class Slo:
     kind = "slo"
     __slots__ = ("name", "clock", "target", "short_window_us",
                  "long_window_us", "page_burn", "warn_burn", "_bin_us",
-                 "good_total", "total", "_bins")
+                 "good_total", "total", "_bins", "_horizon")
 
     def __init__(self, name, clock, target,
                  short_window_us=DEFAULT_SHORT_WINDOW_US,
@@ -81,6 +81,7 @@ class Slo:
         self.good_total = 0
         self.total = 0
         self._bins = {}   # bin index -> [good, total]
+        self._horizon = None  # expiry horizon of the last rescan
 
     # ------------------------------------------------------------------
     @property
@@ -95,8 +96,12 @@ class Slo:
             self.good_total += n
         now = self.clock()
         horizon = int((now - self.long_window_us) // self._bin_us)
-        for index in [i for i in self._bins if i <= horizon]:
-            del self._bins[index]
+        if horizon != self._horizon:
+            # Bins are only created above the current horizon, so until
+            # it moves there is nothing new to expire.
+            self._horizon = horizon
+            for index in [i for i in self._bins if i <= horizon]:
+                del self._bins[index]
         index = int(now // self._bin_us)
         bin_ = self._bins.get(index)
         if bin_ is None:

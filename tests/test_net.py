@@ -61,6 +61,24 @@ def test_rss_deterministic_per_flow():
     assert rss_queue(FLOW, 8) == rss_queue(FLOW, 8)
 
 
+# FNV-1a values recorded before rss_hash was memoized: the cache must
+# return exactly what the unmemoized hash computed.
+RSS_GOLDEN = {
+    (FLOW, 0): 1312151118,
+    (FLOW, 0x5EED): 4280608010,
+    (FiveTuple(0x0A00BEEF, 51234, 0x0A000001, 11211, 6), 0): 161762436,
+    (FiveTuple(0x0A00BEEF, 51234, 0x0A000001, 11211, 6), 0x5EED): 1245758338,
+}
+
+
+def test_rss_hash_golden_values_survive_the_memo():
+    rss_hash.cache_clear()
+    computed = {key: rss_hash(*key) for key in RSS_GOLDEN}
+    memoized = {key: rss_hash(*key) for key in RSS_GOLDEN}
+    assert computed == memoized == RSS_GOLDEN
+    assert rss_hash.cache_info().hits == len(RSS_GOLDEN)
+
+
 def test_rss_salt_changes_mapping():
     flows = [FLOW._replace(src_port=40000 + i) for i in range(64)]
     a = [rss_queue(f, 8, salt=1) for f in flows]

@@ -38,8 +38,10 @@ def test_cancel_skips_event():
 def test_cancel_is_idempotent():
     eng = Engine()
     ev = eng.schedule(1.0, lambda: None)
+    assert not ev.cancelled
     ev.cancel()
     ev.cancel()
+    assert ev.cancelled
     eng.run()
     assert eng.events_dispatched == 0
 
@@ -136,7 +138,94 @@ def test_engine_not_reentrant():
 
 def test_pending_excludes_cancelled():
     eng = Engine()
-    ev = eng.schedule(1.0, lambda: None)
-    eng.schedule(2.0, lambda: None)
-    ev.cancel()
+    events = [eng.schedule(float(i), lambda: None) for i in range(6)]
+    for ev in events[::2]:
+        ev.cancel()
+    assert eng.pending() == 3
+    eng.run()
+    assert eng.pending() == 0
+    assert eng.events_dispatched == 3
+
+
+def test_fifo_among_equal_times_includes_call_soon():
+    eng = Engine()
+    seen = []
+
+    def first():
+        seen.append("first")
+        eng.call_soon(seen.append, "soon-1")
+        eng.schedule(0.0, seen.append, "zero-delay")
+        eng.call_soon(seen.append, "soon-2")
+
+    eng.schedule(3.0, first)
+    eng.at(3.0, seen.append, "at")
+    eng.schedule(3.0, seen.append, "schedule")
+    eng.run()
+    assert seen == ["first", "at", "schedule", "soon-1", "zero-delay",
+                    "soon-2"]
+
+
+def test_cancelled_head_is_skipped_by_run():
+    eng = Engine()
+    seen = []
+    eng.schedule(1.0, seen.append, "head").cancel()
+    eng.schedule(2.0, seen.append, "next")
+    eng.run()
+    assert seen == ["next"]
+    assert eng.events_dispatched == 1
+    assert eng.now == 2.0
+
+
+def test_cancelled_head_is_skipped_by_run_until():
+    eng = Engine()
+    seen = []
+    eng.schedule(1.0, seen.append, "head").cancel()
+    eng.schedule(5.0, seen.append, "late")
+    eng.run(until=3.0)
+    assert seen == []
+    assert eng.now == 3.0
     assert eng.pending() == 1
+    eng.run(until=6.0)
+    assert seen == ["late"]
+    assert eng.events_dispatched == 1
+
+
+def test_cancelled_head_is_skipped_by_step():
+    eng = Engine()
+    seen = []
+    eng.schedule(1.0, seen.append, "head").cancel()
+    eng.schedule(2.0, seen.append, "next")
+    assert eng.step() is True
+    assert seen == ["next"]
+    assert eng.now == 2.0
+    assert eng.step() is False
+
+
+def test_event_reads_back_what_was_scheduled():
+    eng = Engine()
+    eng.schedule(2.0, lambda: None)
+    eng.run()
+
+    def callback(a, b):
+        pass
+
+    ev = eng.schedule(1.5, callback, "x", 7)
+    assert ev.time == 3.5
+    assert ev.fn is callback
+    assert ev.args == ("x", 7)
+    soon = eng.call_soon(callback, 1, 2)
+    assert (soon.time, soon.fn, soon.args) == (2.0, callback, (1, 2))
+    assert ev.seq < soon.seq
+    ev.cancel()
+    assert ev.args == ("x", 7)  # still readable, e.g. to recover a request
+
+
+def test_seq_counts_every_scheduled_event_including_cancelled():
+    eng = Engine()
+    eng.schedule(1.0, lambda: None).cancel()
+    eng.at(2.0, lambda: None)
+    eng.call_soon(lambda: None).cancel()
+    assert eng._seq == 3
+    eng.run()
+    assert eng._seq == 3
+    assert eng.events_dispatched == 1
