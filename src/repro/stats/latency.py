@@ -2,13 +2,49 @@
 
 The paper reports client-observed tail latency (99% for RocksDB, 99.9% for
 MICA).  We collect every sample after a warmup cutoff and compute exact
-percentiles with numpy — sample counts in these experiments (10^4–10^5 per
-point) make sketches unnecessary.
+percentiles — sample counts in these experiments (10^4–10^5 per point) make
+sketches unnecessary.
+
+Percentiles use the ``linear`` method (Hyndman & Fan type 7, numpy's
+default), with its interpolation formula written out in ``_percentile``
+below rather than delegated to a library.  The golden percentiles pinned by
+the tests and benchmark references therefore depend only on this file, not
+on how an installed numerics package happens to implement interpolation,
+and the simulator runs on a bare CPython.  The mean is ``math.fsum`` over
+the samples, correctly rounded.
 """
 
-import numpy as np
+import math
 
 __all__ = ["LatencyRecorder"]
+
+
+def _percentile(s, q):
+    """``q``-th percentile of the already sorted list ``s``; NaN if empty.
+
+    Linear method: the virtual index is ``vi = (n - 1) * (q / 100)``.  At or
+    past the last index the answer is the largest sample.  Otherwise, with
+    ``lo = floor(vi)``, ``g = vi - lo``, ``a = s[lo]``, ``b = s[lo + 1]`` and
+    ``d = b - a``, it is ``a + d*g`` for ``g < 0.5`` and ``b - d*(1 - g)``
+    otherwise.  Interpolating from the nearer neighbour is what numpy does
+    too, so the two agree bit for bit.
+    """
+    n = len(s)
+    if not n:
+        return float("nan")
+    if not 0.0 <= q <= 100.0:
+        raise ValueError("Percentiles must be in the range [0, 100]")
+    vi = (n - 1) * (q / 100.0)
+    if vi >= n - 1:
+        return float(s[-1])
+    lo = math.floor(vi)
+    g = vi - lo
+    a = s[lo]
+    b = s[lo + 1]
+    d = b - a
+    if g < 0.5:
+        return float(a + d * g)
+    return float(b - d * (1.0 - g))
 
 
 class LatencyRecorder:
@@ -48,11 +84,11 @@ class LatencyRecorder:
         return self._by_tag.get(tag, [])
 
     def percentile(self, q, tag=None):
-        """Return the ``q``-th percentile (e.g. 99.0), or NaN if empty."""
-        samples = self._select(tag)
-        if not samples:
-            return float("nan")
-        return float(np.percentile(np.asarray(samples), q))
+        """Return the ``q``-th percentile (e.g. 99.0), or NaN if empty.
+
+        Raises ``ValueError`` for ``q`` outside [0, 100].
+        """
+        return _percentile(sorted(self._select(tag)), q)
 
     def p99(self, tag=None):
         return self.percentile(99.0, tag)
@@ -67,7 +103,7 @@ class LatencyRecorder:
         samples = self._select(tag)
         if not samples:
             return float("nan")
-        return float(np.mean(np.asarray(samples)))
+        return math.fsum(samples) / len(samples)
 
     def max(self, tag=None):
         samples = self._select(tag)
@@ -77,11 +113,12 @@ class LatencyRecorder:
 
     def summary(self, tag=None):
         """Dict of the standard statistics for one tag (or all samples)."""
+        s = sorted(self._select(tag))
         return {
-            "count": len(self._select(tag)),
+            "count": len(s),
             "mean": self.mean(tag),
-            "p50": self.p50(tag),
-            "p99": self.p99(tag),
-            "p999": self.p999(tag),
+            "p50": _percentile(s, 50.0),
+            "p99": _percentile(s, 99.0),
+            "p999": _percentile(s, 99.9),
             "max": self.max(tag),
         }
