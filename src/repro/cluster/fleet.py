@@ -172,7 +172,7 @@ class FleetMachine:
     def receive(self, request):
         """A steered request arrives off the rack wire."""
         fleet = self.fleet
-        fleet.spans.xnet_end(request)
+        fleet.observer.xnet_end(request)
         if not self.alive:
             # Arrived at a corpse.  Before failover detection the switch
             # doesn't know yet: strand the request with the other
@@ -199,12 +199,12 @@ class FleetMachine:
                 fleet.drop(request, "overflow")
                 return
             self._fifo.append(request)
-        fleet.spans.machine_enqueued(request, self.index, depth)
+        fleet.observer.machine_enqueued(request, self.index, depth)
 
     def _begin_service(self, request):
         fleet = self.fleet
         self.busy += 1
-        fleet.spans.fleet_service_begin(request, self.index)
+        fleet.observer.fleet_service_begin(request, self.index)
         event = fleet.engine.schedule(
             request.service_us, self._complete_service, request
         )
@@ -215,7 +215,7 @@ class FleetMachine:
         self._service_events.pop(request.rid, None)
         self.busy -= 1
         self.served += 1
-        fleet.spans.fleet_service_end(request)
+        fleet.observer.fleet_service_end(request)
         self._dispatch_next()
         if self.link_up:
             fleet.send_response(self.index, request)
@@ -539,7 +539,7 @@ class Fleet:
         self.obs = Observability(
             clock=lambda: self.engine.now, enabled=metrics, spans=spans,
         )
-        self.spans = self.obs.spans
+        self.observer = self.obs.observer
         self._m_forwarded = self.obs.registry.counter(
             "fleet", "switch", "forwarded")
         self._m_completed = self.obs.registry.counter(
@@ -712,7 +712,7 @@ class Fleet:
             # life (per-tenant counters, blame views).  No owned rule →
             # tenant stays None and no per-tenant state is ever touched.
             request.tenant = self.switch.owner_for(request)
-        self.spans.switch_arrival(request)
+        self.observer.switch_arrival(request)
         self.outstanding += 1
         self._steer(request, resteer=False)
 
@@ -720,7 +720,7 @@ class Fleet:
         """Failover: re-run steering for an orphaned request."""
         self.switch.resteers += 1
         self.obs.registry.counter("fleet", "switch", "resteers").inc()
-        self.spans.machine_requeued(request)
+        self.observer.machine_requeued(request)
         self._steer(request, resteer=True)
 
     def _steer(self, request, resteer):
@@ -734,10 +734,10 @@ class Fleet:
         request.attempts += 1
         self.switch.forwarded[index] += 1
         self._m_forwarded.inc()
-        self.spans.switch_steer(request, index,
-                                getattr(policy, "name", "custom"),
-                                resteer=resteer)
-        self.spans.xnet_begin(request, "request", index)
+        self.observer.switch_steer(request, index,
+                                   getattr(policy, "name", "custom"),
+                                   resteer=resteer)
+        self.observer.xnet_begin(request, "request", index)
         self.engine.schedule(
             self.forward_us + self.wire_us,
             self.machines[index].receive, request,
@@ -745,12 +745,12 @@ class Fleet:
 
     def send_response(self, index, request):
         """A machine's response crosses the rack wire back to the client."""
-        self.spans.xnet_begin(request, "response", index)
+        self.observer.xnet_begin(request, "response", index)
         self.engine.schedule(self.wire_us, self._complete, request)
 
     def _complete(self, request):
-        self.spans.xnet_end(request)
-        self.spans.fleet_complete(request)
+        self.observer.xnet_end(request)
+        self.observer.fleet_complete(request)
         now = self.engine.now
         request.completed_at = now
         self.latency.record(now, now - request.sent_at,
@@ -773,7 +773,7 @@ class Fleet:
             ).inc()
 
     def drop(self, request, reason):
-        self.spans.fleet_drop(request, reason)
+        self.observer.fleet_drop(request, reason)
         self.outstanding -= 1
         self.dropped += 1
         self.obs.registry.counter("fleet", "fleet", "dropped").inc()

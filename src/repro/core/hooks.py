@@ -107,8 +107,7 @@ class HookSite:
         # deployment (or charge a canary candidate's promotion record).
         self.fault_listener = None
         self._events = self.obs.events
-        self._spans = self.obs.spans
-        self._acct = self.obs.acct
+        self._observer = self.obs.observer
         self._m_dispatch_miss = self.obs.registry.counter(
             ROOT_APP, hook, "dispatch_miss"
         )
@@ -211,7 +210,7 @@ class HookSite:
             shadow.observe(value, packet)
         attachment.m_sched.inc()
         events = self._events
-        spans = self._spans
+        observer = self._observer
         if value == PASS:
             self.pass_decisions += 1
             attachment.m_pass.inc()
@@ -219,9 +218,10 @@ class HookSite:
                 events.emit("decision", app=attachment.app_name,
                             hook=self.hook, port=packet.dst_port,
                             outcome="pass")
-            if spans.enabled:
-                spans.decision(packet, self.hook, "pass", fd=attachment.fd,
-                               seq=events.emitted if events.enabled else None)
+            if observer.enabled:
+                observer.decision(
+                    packet, self.hook, "pass", fd=attachment.fd,
+                    seq=events.emitted if events.enabled else None)
             return ("pass", None)
         if value == DROP:
             self.drop_decisions += 1
@@ -230,9 +230,10 @@ class HookSite:
                 events.emit("decision", app=attachment.app_name,
                             hook=self.hook, port=packet.dst_port,
                             outcome="drop")
-            if spans.enabled:
-                spans.decision(packet, self.hook, "drop", fd=attachment.fd,
-                               seq=events.emitted if events.enabled else None)
+            if observer.enabled:
+                observer.decision(
+                    packet, self.hook, "drop", fd=attachment.fd,
+                    seq=events.emitted if events.enabled else None)
             return ("drop", None)
         executor = attachment.executors.resolve(value)
         if executor is None:
@@ -243,19 +244,20 @@ class HookSite:
                 events.emit("decision", app=attachment.app_name,
                             hook=self.hook, port=packet.dst_port,
                             outcome="index_miss", value=value)
-            if spans.enabled:
-                spans.decision(packet, self.hook, "index_miss", value=value,
-                               fd=attachment.fd,
-                               seq=events.emitted if events.enabled else None)
+            if observer.enabled:
+                observer.decision(
+                    packet, self.hook, "index_miss", value=value,
+                    fd=attachment.fd,
+                    seq=events.emitted if events.enabled else None)
             return ("pass", None)
         attachment.m_steer.inc()
         if events.enabled:
             events.emit("decision", app=attachment.app_name, hook=self.hook,
                         port=packet.dst_port, outcome="steer", value=value)
-        if spans.enabled:
-            spans.decision(packet, self.hook, "steer", value=value,
-                           fd=attachment.fd,
-                           seq=events.emitted if events.enabled else None)
+        if observer.enabled:
+            observer.decision(packet, self.hook, "steer", value=value,
+                              fd=attachment.fd,
+                              seq=events.emitted if events.enabled else None)
         return ("target", executor)
 
     def _on_fault(self, attachment, packet, exc, program=None):
@@ -278,8 +280,8 @@ class HookSite:
                 port=packet.dst_port, error=type(exc).__name__,
                 detail=str(exc),
             )
-        if self._spans.enabled:
-            self._spans.decision(
+        if self._observer.enabled:
+            self._observer.decision(
                 packet, self.hook, "fault", fd=attachment.fd,
                 seq=events.emitted if events.enabled else None,
             )
@@ -296,7 +298,7 @@ class HookSite:
         # Policy execution time is part of the owning tenant's bill: the
         # substrate charges this cost on the datapath, so the accountant
         # books it against the tenant whose packet triggered the program.
-        self._acct.policy_exec(packet, cost)
+        self._observer.policy_exec(packet, cost)
         return cost
 
     def __repr__(self):

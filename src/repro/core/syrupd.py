@@ -1083,7 +1083,10 @@ class Syrupd:
         :class:`repro.obs.accounting.TenantAccountant`; the empty shape
         ``{"tenants": [], "blame": {}}`` when accounting is disabled.
         """
-        return self.obs.acct.snapshot()
+        acct = self.obs.acct
+        if acct is None:
+            return {"tenants": [], "blame": {}}
+        return acct.snapshot()
 
     def health(self):
         """Per-deployment health rows (``syrupctl health``)."""

@@ -122,7 +122,7 @@ class GhostAgent:
         self._busy = False
         for core in self.scheduler.cores:
             if core.pending_commit is not None:
-                self.scheduler.spans.placement_abort(core.pending_commit)
+                self.scheduler.observer.placement_abort(core.pending_commit)
             core.pending_commit = None
 
     def abort_inflight(self):
@@ -141,7 +141,7 @@ class GhostAgent:
         self._pending_threads.clear()
         for core in self.scheduler.cores:
             if core.pending_commit is not None:
-                self.scheduler.spans.placement_abort(core.pending_commit)
+                self.scheduler.observer.placement_abort(core.pending_commit)
                 core.pending_commit = None
                 self.revocation_aborts += 1
 
@@ -241,7 +241,7 @@ class GhostAgent:
                 continue  # stale decision; skip
             self._pending_threads.add(thread.tid)
             core.pending_commit = thread
-            self.scheduler.spans.placement_begin(thread, core_id)
+            self.scheduler.observer.placement_begin(thread, core_id)
             delay += self.costs.ghost_commit_us
             self.engine.schedule(
                 delay + self.costs.ghost_ipi_us, self._commit_effect,
@@ -268,7 +268,7 @@ class GhostAgent:
                 self.metrics["commits"].inc()
         else:
             self.failed_commits += 1
-            self.scheduler.spans.placement_abort(thread)
+            self.scheduler.observer.placement_abort(thread)
             if self.metrics is not None:
                 self.metrics["failed_commits"].inc()
             # re-evaluate: the failed target may leave work stranded

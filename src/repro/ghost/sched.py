@@ -56,7 +56,7 @@ class GhostScheduler(ThreadScheduler):
         if self.agent is not None:
             self.agent.abort_inflight()
         elif core.pending_commit is not None:
-            self.spans.placement_abort(core.pending_commit)
+            self.observer.placement_abort(core.pending_commit)
             core.pending_commit = None
         victim = self.preempt(core)
         core.last_blocked = None
@@ -67,8 +67,7 @@ class GhostScheduler(ThreadScheduler):
 
     def wake(self, thread):
         thread.state = RUNNABLE
-        self.spans.thread_runnable(thread)
-        self.acct.thread_runnable(thread)
+        self.observer.thread_runnable(thread)
         self._notify(MessageKind.THREAD_WAKEUP, thread)
 
     def _core_idle(self, core):

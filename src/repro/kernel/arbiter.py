@@ -43,8 +43,7 @@ from collections import deque
 
 from repro.ghost.sched import GhostScheduler
 from repro.kernel.cfs import CfsScheduler
-from repro.obs.accounting import NULL_ACCOUNTING
-from repro.obs.spans import NULL_SPANS
+from repro.obs.observer import NULL_OBSERVER
 
 __all__ = [
     "CoreArbiter",
@@ -90,7 +89,7 @@ class _CoreClass:
 class CoreArbiter:
     """Owns a pool of cores; grants them, revocably, to classes."""
 
-    def __init__(self, engine, cores, acct=NULL_ACCOUNTING, events=None):
+    def __init__(self, engine, cores, observer=NULL_OBSERVER, events=None):
         self.engine = engine
         self.pool = list(cores)
         self._by_cid = {core.cid: core for core in self.pool}
@@ -103,7 +102,7 @@ class CoreArbiter:
         }
         self._stalls = {}            # cid -> stall record (active)
         self._stall_token = {core.cid: 0 for core in self.pool}
-        self.acct = acct
+        self.observer = observer
         self.events = events
         self.moves = 0               # controller-driven reallocations
         self.stall_count = 0
@@ -189,7 +188,7 @@ class CoreArbiter:
         if cls is not None:
             cls.occupancy_us += end - start
             if cls.tenant is not None:
-                self.acct.book_core_occupancy(cls.tenant, end - start)
+                self.observer.book_core_occupancy(cls.tenant, end - start)
 
     # -- queries ---------------------------------------------------------
     def owner_of(self, cid):
@@ -515,7 +514,7 @@ class ElasticScheduler:
     thread's app to the owning class scheduler, which takes over from
     there (wakes and dispatches go straight to the class).  The facade
     only aggregates the views the rest of the stack reads
-    (``threads``, ``spans``/``acct`` propagation, app→class
+    (``threads``, ``observer`` propagation, app→class
     resolution for syrupd's Thread Scheduler hook).
     """
 
@@ -526,8 +525,7 @@ class ElasticScheduler:
         self._order = []
         self._by_app = {}
         self._default = None
-        self._spans = NULL_SPANS
-        self._acct = NULL_ACCOUNTING
+        self._observer = NULL_OBSERVER
 
     def add_class(self, name, scheduler, apps=(), default=False):
         self.classes[name] = scheduler
@@ -569,26 +567,16 @@ class ElasticScheduler:
     def runnable_threads(self):
         return [t for t in self.threads if t.state == "runnable"]
 
-    # spans/acct assignments from Machine propagate to every class
+    # the observer assignment from Machine propagates to every class
     @property
-    def spans(self):
-        return self._spans
+    def observer(self):
+        return self._observer
 
-    @spans.setter
-    def spans(self, value):
-        self._spans = value
+    @observer.setter
+    def observer(self, value):
+        self._observer = value
         for name in self._order:
-            self.classes[name].spans = value
-
-    @property
-    def acct(self):
-        return self._acct
-
-    @acct.setter
-    def acct(self, value):
-        self._acct = value
-        for name in self._order:
-            self.classes[name].acct = value
+            self.classes[name].observer = value
 
 
 def build_elastic(machine, spec):
@@ -620,7 +608,7 @@ def build_elastic(machine, spec):
 
     facade = ElasticScheduler(machine.engine, machine.costs)
     arbiter = CoreArbiter(
-        machine.engine, pool, acct=machine.obs.acct,
+        machine.engine, pool, observer=machine.obs.observer,
         events=machine.obs.events,
     )
     for entry in entries:

@@ -78,8 +78,7 @@ class CfsScheduler(ThreadScheduler):
         if not self.cores:
             # between revocation and the next grant: park runnable
             thread.state = RUNNABLE
-            self.spans.thread_runnable(thread)
-            self.acct.thread_runnable(thread)
+            self.observer.thread_runnable(thread)
             self._orphans.append(thread)
             return
         # Wake balancing: prefer the home core, else any idle core — CFS is
@@ -91,8 +90,7 @@ class CfsScheduler(ThreadScheduler):
                     core = candidate
                     break
         thread.state = RUNNABLE
-        self.spans.thread_runnable(thread)
-        self.acct.thread_runnable(thread)
+        self.observer.thread_runnable(thread)
         self._rq[core.cid].append(thread)
         if core.thread is None:
             self._pick_next(core)

@@ -15,8 +15,7 @@ while subclasses provide policy:
 import math
 
 from repro.kernel.threads import BLOCKED, RUNNABLE, RUNNING
-from repro.obs.accounting import NULL_ACCOUNTING
-from repro.obs.spans import NULL_SPANS
+from repro.obs.observer import NULL_OBSERVER
 
 __all__ = ["PinnedScheduler", "ThreadScheduler"]
 
@@ -31,12 +30,10 @@ class ThreadScheduler:
         self.cores = list(cores)
         self.costs = costs
         self.threads = []
-        # Span tracer (repro.obs.spans): threads reach it through their
-        # scheduler for service spans; CFS/ghOSt wakes feed runqueue_wait.
-        self.spans = NULL_SPANS
-        # Tenant accountant (repro.obs.accounting): same access path,
-        # books per-tenant CPU service time and runqueue wait.
-        self.acct = NULL_ACCOUNTING
+        # Datapath observer (repro.obs.observer): threads reach it
+        # through their scheduler for service begin/end; CFS/ghOSt wakes
+        # start the runqueue wait.
+        self.observer = NULL_OBSERVER
 
     # -- subclass policy interface --------------------------------------
     def wake(self, thread):

@@ -18,8 +18,7 @@ always drains ahead of the discipline.
 from collections import deque
 
 from repro.net.rss import rss_hash
-from repro.obs.accounting import NULL_ACCOUNTING
-from repro.obs.spans import NULL_SPANS
+from repro.obs.observer import NULL_OBSERVER
 
 __all__ = ["ReuseportGroup", "SocketTable", "UdpSocket"]
 
@@ -38,8 +37,7 @@ class UdpSocket:
         "drops",
         "enqueued",
         "on_enqueue",
-        "spans",
-        "acct",
+        "observer",
         "qdisc",
     )
 
@@ -57,8 +55,7 @@ class UdpSocket:
         self.drops = 0
         self.enqueued = 0
         self.on_enqueue = None    # app callback(packet) — e.g. type marking
-        self.spans = NULL_SPANS   # span tracer (repro.obs.spans)
-        self.acct = NULL_ACCOUNTING  # tenant accountant (repro.obs.accounting)
+        self.observer = NULL_OBSERVER  # repro.obs.observer
         self.qdisc = None         # repro.qdisc.discipline.Qdisc, or None
 
     def set_qdisc(self, qdisc):
@@ -75,8 +72,7 @@ class UdpSocket:
             return None
         self.qdisc = None
         for packet in qdisc.drain():
-            self.spans.qdisc_dequeued(packet)
-            self.acct.qdisc_dequeued(packet)
+            self.observer.qdisc_dequeued(packet)
             self.queue.append(packet)
         return qdisc
 
@@ -93,8 +89,7 @@ class UdpSocket:
             if len(self.queue) >= self.backlog:
                 self.drops += 1
                 return False
-            self.spans.socket_enqueued(packet, self.sid, len(self.queue))
-            self.acct.socket_enqueued(packet, self)
+            self.observer.socket_enqueued(packet, self, len(self.queue))
             self.queue.append(packet)
         else:
             depth = len(self.queue) + len(qdisc)
@@ -105,8 +100,7 @@ class UdpSocket:
                 if result.reason == "sched_drop":
                     # Rank function said DROP: a policy decision, not
                     # congestion — distinct abort reason in span trees.
-                    self.spans.drop(packet, "qdisc_shed")
-                    self.acct.drop(packet, "qdisc_shed")
+                    self.observer.drop(packet, "qdisc_shed")
                 # Overflow rejections fall through without a span drop so
                 # the caller (netstack) records the same "socket_overflow"
                 # reason as the FIFO path — the PASS-everywhere pairing
@@ -114,14 +108,11 @@ class UdpSocket:
                 return False
             if result.evicted is not None:
                 self.drops += 1
-                self.spans.drop(result.evicted, "qdisc_evict")
-                self.acct.drop(result.evicted, "qdisc_evict")
-            self.spans.socket_enqueued(packet, self.sid, depth)
-            self.acct.socket_enqueued(packet, self)
-            self.spans.qdisc_enqueued(
+                self.observer.drop(result.evicted, "qdisc_evict")
+            self.observer.socket_enqueued(packet, self, depth)
+            self.observer.qdisc_enqueued(
                 packet, qdisc.layer, result.rank, qdisc.backend_name
             )
-            self.acct.qdisc_enqueued(packet)
         self.enqueued += 1
         if self.on_enqueue is not None:
             self.on_enqueue(packet)
@@ -138,14 +129,13 @@ class UdpSocket:
         """
         if self.queue:
             packet = self.queue.popleft()
-            self.acct.socket_dequeued(packet, self)
+            self.observer.socket_dequeued(packet, self)
             return packet
         if self.qdisc is not None:
             packet = self.qdisc.take()
             if packet is not None:
-                self.spans.qdisc_dequeued(packet)
-                self.acct.qdisc_dequeued(packet)
-                self.acct.socket_dequeued(packet, self)
+                self.observer.qdisc_dequeued(packet)
+                self.observer.socket_dequeued(packet, self)
             return packet
         return None
 

@@ -141,15 +141,12 @@ class Machine:
             self.scheduler = _SCHEDULERS[scheduler](
                 self.engine, sched_cores, self.costs
             )
-        self.scheduler.spans = self.obs.spans
-        self.scheduler.acct = self.obs.acct
+        self.scheduler.observer = self.obs.observer
         salt = self.streams.get("rss-salt").getrandbits(32)
         self.nic = Nic(self.engine, self.config.nic, self.costs, salt=salt)
-        self.nic.spans = self.obs.spans
-        self.nic.acct = self.obs.acct
+        self.nic.observer = self.obs.observer
         self.netstack = NetStack(self.engine, self.config)
-        self.netstack.spans = self.obs.spans
-        self.netstack.acct = self.obs.acct
+        self.netstack.observer = self.obs.observer
         self.nic.deliver = self.netstack.deliver_from_nic
         # Queue-state telemetry: when the flight recorder is live, every
         # sample() first reads the instantaneous queue depths (socket
@@ -218,8 +215,7 @@ class Machine:
             backlog=self.config.socket_backlog,
             is_af_xdp=is_af_xdp,
         )
-        socket.spans = self.obs.spans
-        socket.acct = self.obs.acct
+        socket.observer = self.obs.observer
         if not is_af_xdp:
             self.netstack.socket_table.bind(socket)
         return socket

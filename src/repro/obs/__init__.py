@@ -8,8 +8,7 @@ complementary primitives, both stamped with *simulated* time:
   PASS/DROP/steer outcomes, map operation totals, ghOSt agent churn,
   verifier rejections — and
 - an :class:`~repro.obs.events.EventTrace`, a bounded ring of structured
-  decision events with a JSON-lines exporter, unified with
-  :class:`repro.trace.RequestTracer`'s per-request stage records.
+  decision events with a JSON-lines exporter.
 
 Both hang off an :class:`Observability` handle created by
 :class:`repro.machine.Machine`.  Observability is **off by default**:
@@ -32,17 +31,17 @@ requests across every layer (``Machine(spans=N)``, the
 resulting span trees into a p50-vs-p99 critical-path attribution
 (``syrupctl spans`` / ``syrupctl tail``).
 
+The span tracer and the tenant accountant (:mod:`repro.obs.accounting`)
+are both :class:`~repro.obs.observer.Observer` subclasses behind one seam
+per datapath layer: the datapath holds :attr:`Observability.observer`,
+one object that every lifecycle event is reported to once.
+
 Operator surface: ``syrupctl stats`` / :func:`repro.syrupctl.render_stats`
 renders the registry, ``syrupctl timeline`` the recorder;
 ``docs/observability.md`` is the metric catalogue and event schema.
 """
 
-from repro.obs.accounting import (
-    NULL_ACCOUNTING,
-    NullTenantAccountant,
-    TenantAccountant,
-    TenantLedger,
-)
+from repro.obs.accounting import TenantAccountant, TenantLedger
 from repro.obs.events import NULL_EVENTS, EventTrace, NullEventTrace
 from repro.obs.interference import (
     BlameMatrix,
@@ -61,7 +60,8 @@ from repro.obs.registry import (
     NullMetric,
     NullRegistry,
 )
-from repro.obs.spans import NULL_SPANS, NullSpanTracer, SpanTracer
+from repro.obs.observer import NULL_OBSERVER, Fanout, Observer
+from repro.obs.spans import SpanTracer
 from repro.obs.timeseries import NULL_RECORDER, FlightRecorder, NullFlightRecorder
 
 __all__ = [
@@ -70,24 +70,23 @@ __all__ = [
     "CardinalityError",
     "Counter",
     "EventTrace",
+    "Fanout",
     "FlightRecorder",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_ACCOUNTING",
     "NULL_EVENTS",
     "NULL_METRIC",
+    "NULL_OBSERVER",
     "NULL_RECORDER",
     "NULL_REGISTRY",
-    "NULL_SPANS",
     "NoisyNeighborDetector",
     "NullEventTrace",
     "NullFlightRecorder",
     "NullMetric",
     "NullRegistry",
-    "NullSpanTracer",
-    "NullTenantAccountant",
     "Observability",
+    "Observer",
     "SpanTracer",
     "TenantAccountant",
     "TenantLedger",
@@ -105,17 +104,20 @@ class Observability:
     the owner installs a live :class:`FlightRecorder` (see
     ``Machine(timeseries=...)``); it needs the engine, so construction
     stays with the machine.  ``spans`` is the causal span tracer
-    (:mod:`repro.obs.spans`): :data:`NULL_SPANS` unless constructed with
-    ``spans=N`` (sample every Nth request; ``Machine(spans=...)``) —
-    independent of ``enabled``, since the tracer needs no registry.
-    ``acct`` is the per-tenant cost accountant
-    (:mod:`repro.obs.accounting`): :data:`NULL_ACCOUNTING` unless
-    constructed with ``accounting=True`` (``Machine(accounting=True)``)
-    — also registry-independent, same null-twin discipline.
+    (:mod:`repro.obs.spans`), live when constructed with ``spans=N``
+    (sample every Nth request; ``Machine(spans=...)``) — independent of
+    ``enabled``, since the tracer needs no registry.  ``acct`` is the
+    per-tenant cost accountant (:mod:`repro.obs.accounting`), live when
+    constructed with ``accounting=True`` (``Machine(accounting=True)``).
+    Both are view handles and ``None`` when off.
+
+    ``observer`` is what the datapath reports to: :data:`NULL_OBSERVER`
+    when neither is live, the live one itself, or a :class:`Fanout` that
+    calls the span tracer and then the accountant.
     """
 
     __slots__ = ("enabled", "registry", "events", "recorder", "spans",
-                 "acct")
+                 "acct", "observer")
 
     def __init__(self, clock=None, enabled=False, event_capacity=4096,
                  max_series=4096, spans=0, spans_capacity=4096,
@@ -128,16 +130,20 @@ class Observability:
         else:
             self.registry = NULL_REGISTRY
             self.events = NULL_EVENTS
+        self.spans = self.acct = None
         if spans:
             sample_every = 1 if spans is True else int(spans)
             self.spans = SpanTracer(clock=clock, sample_every=sample_every,
                                     capacity=spans_capacity)
-        else:
-            self.spans = NULL_SPANS
         if accounting:
             self.acct = TenantAccountant(clock=clock)
+        live = [o for o in (self.spans, self.acct) if o is not None]
+        if not live:
+            self.observer = NULL_OBSERVER
+        elif len(live) == 1:
+            self.observer = live[0]
         else:
-            self.acct = NULL_ACCOUNTING
+            self.observer = Fanout(*live)
 
     def snapshot(self):
         """Registry snapshot rows (see MetricsRegistry.snapshot)."""

@@ -29,25 +29,19 @@ is charged to them pro rata in a pairwise
 :class:`repro.obs.interference.BlameMatrix` ("tenant A imposed X µs on
 tenant B at the socket layer").  See docs/multitenancy.md for the math.
 
-Null-twin discipline (the registry/spans contract): machines built
-without ``accounting=True`` hold the shared :data:`NULL_ACCOUNTING`
-singleton, every seam is a no-op method on it, zero accounting objects
-are allocated, and simulation output stays bit-identical — the audit
-test in ``tests/test_accounting.py`` holds this line.  The accountant
+The accountant is an :class:`~repro.obs.observer.Observer`: machines
+built without ``accounting=True`` never construct one, zero accounting
+objects are allocated, and simulation output stays bit-identical — the
+audit test in ``tests/test_accounting.py`` holds this line.  The accountant
 itself only ever *reads* the datapath (timestamps, queue mirrors), so
 enabling it changes no scheduling decision either: a run with
 accounting on is bit-identical to the same run with it off.
 """
 
 from repro.obs.interference import BlameMatrix
+from repro.obs.observer import Observer
 
-__all__ = [
-    "LAYERS",
-    "NULL_ACCOUNTING",
-    "NullTenantAccountant",
-    "TenantAccountant",
-    "TenantLedger",
-]
+__all__ = ["LAYERS", "TenantAccountant", "TenantLedger"]
 
 #: Queueing layers a ledger itemizes, in datapath order.  ``qdisc`` is
 #: the time inside a programmable discipline's buffer and *overlaps* the
@@ -113,7 +107,7 @@ def _tenant_of(packet):
     return request, request.tenant
 
 
-class TenantAccountant:
+class TenantAccountant(Observer):
     """Live per-tenant cost ledgers + blame feed over the span seams.
 
     In-flight state is keyed by request *object identity* (``id()``),
@@ -179,7 +173,7 @@ class TenantAccountant:
             return
         self._nic[id(request)] = self._clock()
 
-    def nic_delivered(self, packet):
+    def nic_delivered(self, packet, queue_index):
         request, tenant = _tenant_of(packet)
         if tenant is None:
             return
@@ -188,7 +182,7 @@ class TenantAccountant:
             self.ledger(tenant).charge_wait("nic", self._clock() - ts)
 
     # -- softirq --------------------------------------------------------
-    def softirq_begin(self, packet, core_index):
+    def softirq_begin(self, packet, core_index, depth):
         request, tenant = _tenant_of(packet)
         if tenant is None:
             return
@@ -216,7 +210,7 @@ class TenantAccountant:
         self._charge_blame(tenant, "softirq", wait, ahead)
 
     # -- socket backlog -------------------------------------------------
-    def socket_enqueued(self, packet, socket):
+    def socket_enqueued(self, packet, socket, depth):
         request, tenant = _tenant_of(packet)
         if tenant is None:
             return
@@ -252,7 +246,7 @@ class TenantAccountant:
         self._charge_blame(tenant, "socket", wait, ahead)
 
     # -- qdisc (sub-span of the surrounding nic/socket wait) ------------
-    def qdisc_enqueued(self, packet):
+    def qdisc_enqueued(self, packet, layer, rank, backend):
         request, tenant = _tenant_of(packet)
         if tenant is None:
             return
@@ -372,71 +366,3 @@ class TenantAccountant:
 
     def __repr__(self):
         return f"<TenantAccountant tenants={len(self.ledgers)}>"
-
-
-class NullTenantAccountant:
-    """Disabled accountant: every seam is a no-op, views are empty."""
-
-    enabled = False
-    ledgers = {}
-
-    def ledger(self, tenant):
-        return None
-
-    def nic_arrival(self, packet):
-        pass
-
-    def nic_delivered(self, packet):
-        pass
-
-    def softirq_begin(self, packet, core_index):
-        pass
-
-    def softirq_end(self, packet):
-        pass
-
-    def socket_enqueued(self, packet, socket):
-        pass
-
-    def socket_dequeued(self, packet, socket):
-        pass
-
-    def qdisc_enqueued(self, packet):
-        pass
-
-    def qdisc_dequeued(self, packet):
-        pass
-
-    def book_core_occupancy(self, tenant, us):
-        pass
-
-    def thread_runnable(self, thread):
-        pass
-
-    def service_begin(self, thread, token):
-        pass
-
-    def service_end(self, thread, token):
-        pass
-
-    def policy_exec(self, packet, cost_us):
-        pass
-
-    def drop(self, packet, reason):
-        pass
-
-    def tenants(self):
-        return []
-
-    def snapshot(self):
-        return {"tenants": [], "blame": {}}
-
-    def publish(self, registry):
-        pass
-
-    def __repr__(self):
-        return "<NullTenantAccountant>"
-
-
-#: Shared disabled instance — the default for every datapath object.
-NULL_ACCOUNTING = NullTenantAccountant()

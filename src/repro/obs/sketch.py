@@ -1,23 +1,16 @@
-"""Streaming quantile sketches and windowed estimators.
+"""Streaming quantile sketches.
 
 The recorder tier (PR 2) answers "what happened?"; closing the loop
 (ROADMAP: adaptive scheduling) needs *online* statistics a controller
 can read every few milliseconds of sim time without the memory cost of
-retaining per-request samples.  Three primitives live here:
-
-- :class:`DDSketch` — a relative-error streaming quantile sketch in the
-  style of DDSketch (Masson et al., VLDB '19): logarithmic buckets with
-  ratio ``gamma = (1+alpha)/(1-alpha)`` guarantee every quantile
-  estimate ``est`` satisfies ``|est - true| <= alpha * true``, and two
-  sketches over disjoint streams **merge** by bucket-count addition into
-  exactly the sketch of the concatenated stream.  That mergeability is
-  what lets per-machine latency sketches roll up through the PR-6 sync
-  bus to a rack-level view.
-- :class:`WindowedRate` — events-per-second over a sliding sim-time
-  window, bucketed so old observations age out in O(1).
-- :class:`Ewma` — an exponentially weighted moving average with a
-  sim-time half-life (decay follows the *clock*, not the update count,
-  so bursty streams do not skew the smoothing).
+retaining per-request samples.  :class:`DDSketch` is a relative-error
+streaming quantile sketch in the style of DDSketch (Masson et al., VLDB
+'19): logarithmic buckets with ratio ``gamma = (1+alpha)/(1-alpha)``
+guarantee every quantile estimate ``est`` satisfies ``|est - true| <=
+alpha * true``, and two sketches over disjoint streams **merge** by
+bucket-count addition into exactly the sketch of the concatenated
+stream.  That mergeability is what lets per-machine latency sketches
+roll up through the PR-6 sync bus to a rack-level view.
 
 :class:`Sketch` adapts :class:`DDSketch` to the metrics-registry
 contract (``key`` / ``kind`` / ``observe`` / ``updated_at``); the
@@ -30,13 +23,7 @@ datapath.
 
 import math
 
-__all__ = [
-    "DDSketch",
-    "DEFAULT_ALPHA",
-    "Ewma",
-    "Sketch",
-    "WindowedRate",
-]
+__all__ = ["DDSketch", "DEFAULT_ALPHA", "Sketch"]
 
 #: Default relative-error bound for registry-created sketches: a
 #: reported p99 of 1000us is guaranteed within [990, 1010]us of truth.
@@ -185,92 +172,3 @@ class Sketch(DDSketch):
 
     def __repr__(self):
         return f"<Sketch {'/'.join(self.key)} n={self.count}>"
-
-
-class WindowedRate:
-    """Events-per-second over a sliding sim-time window.
-
-    Observations land in ``buckets`` fixed-width time bins; bins older
-    than the window are discarded lazily on the next read or write, so
-    the structure is O(buckets) regardless of event rate.
-    """
-
-    __slots__ = ("clock", "window_us", "_width", "_bins")
-
-    def __init__(self, clock, window_us=100_000.0, buckets=20):
-        if window_us <= 0:
-            raise ValueError(f"window_us must be positive, got {window_us}")
-        if buckets < 1:
-            raise ValueError(f"buckets must be >= 1, got {buckets}")
-        self.clock = clock
-        self.window_us = float(window_us)
-        self._width = self.window_us / buckets
-        self._bins = {}   # bin index -> count
-
-    def _evict(self, now):
-        horizon = int((now - self.window_us) // self._width)
-        for index in [i for i in self._bins if i <= horizon]:
-            del self._bins[index]
-
-    def observe(self, n=1):
-        now = self.clock()
-        self._evict(now)
-        index = int(now // self._width)
-        self._bins[index] = self._bins.get(index, 0) + n
-
-    def events_in_window(self):
-        self._evict(self.clock())
-        return sum(self._bins.values())
-
-    def rate_per_s(self):
-        """Events per second over the (elapsed-clamped) window."""
-        now = self.clock()
-        self._evict(now)
-        span_us = min(self.window_us, now) if now > 0 else self.window_us
-        if span_us <= 0:
-            return 0.0
-        return sum(self._bins.values()) * 1e6 / span_us
-
-    def __repr__(self):
-        return (
-            f"<WindowedRate window={self.window_us:g}us "
-            f"events={sum(self._bins.values())}>"
-        )
-
-
-class Ewma:
-    """Exponentially weighted moving average with a sim-time half-life.
-
-    Decay is driven by elapsed *clock* time between updates, so the
-    smoothing constant is independent of the observation rate: after one
-    half-life without updates an old value contributes half its weight.
-    """
-
-    __slots__ = ("clock", "halflife_us", "value", "_last_at")
-
-    def __init__(self, clock, halflife_us=50_000.0):
-        if halflife_us <= 0:
-            raise ValueError(
-                f"halflife_us must be positive, got {halflife_us}"
-            )
-        self.clock = clock
-        self.halflife_us = float(halflife_us)
-        self.value = None
-        self._last_at = None
-
-    def update(self, sample):
-        now = self.clock()
-        if self.value is None:
-            self.value = float(sample)
-        else:
-            dt = max(0.0, now - self._last_at)
-            decay = 0.5 ** (dt / self.halflife_us)
-            self.value = decay * self.value + (1.0 - decay) * float(sample)
-        self._last_at = now
-        return self.value
-
-    def read(self, default=0.0):
-        return self.value if self.value is not None else default
-
-    def __repr__(self):
-        return f"<Ewma halflife={self.halflife_us:g}us value={self.value}>"

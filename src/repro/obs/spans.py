@@ -1,9 +1,8 @@
 """Causal span tracing: one sampled request, every layer it touches.
 
-Aggregates (:mod:`repro.obs.registry`) answer "how much, ever?" and the
-:class:`repro.trace.RequestTracer` answers "what stages, on average?" —
-neither can look at a *single* p99 request and say which hop queued it,
-under which policy decision, behind which queue depth.  A
+Aggregates (:mod:`repro.obs.registry`) answer "how much, ever?" — they
+cannot look at a *single* p99 request and say which hop queued it, under
+which policy decision, behind which queue depth.  A
 :class:`SpanTracer` follows each head-sampled request across the stack
 and records a flat tree of **spans** (name, start, end, attrs), all in
 simulated microseconds:
@@ -35,9 +34,9 @@ request-bearing packet at NIC arrival is traced — a counter, no RNG.
 The tracer obeys the tree-wide determinism contract: it draws no
 randomness, schedules no engine events, and mutates no simulation
 state, so every simulation result is bit-identical with spans on or
-off (``tests/test_spans.py`` locks this with paired runs).  Disabled
-machines share the :data:`NULL_SPANS` singleton (the
-:data:`~repro.obs.registry.NULL_REGISTRY` pattern).
+off (``tests/test_obs.py`` locks this with paired runs).  The tracer is
+an :class:`~repro.obs.observer.Observer`: disabled machines hold the
+shared :data:`~repro.obs.observer.NULL_OBSERVER` instead.
 
 Enable with ``Machine(spans=N)`` (``True`` ⇒ every request).  Completed
 trees live in a bounded ring (``capacity``); export them for
@@ -50,13 +49,14 @@ import json
 from collections import deque
 
 from repro.obs.export import open_destination
+from repro.obs.observer import Observer
 
-__all__ = ["NULL_SPANS", "NullSpanTracer", "SpanTracer"]
+__all__ = ["SpanTracer"]
 
 DEFAULT_CAPACITY = 4096
 
 
-class SpanTracer:
+class SpanTracer(Observer):
     """Cross-layer span trees for deterministically head-sampled requests."""
 
     enabled = True
@@ -199,12 +199,13 @@ class SpanTracer:
             return
         self._close(tree, "softirq", self.clock())
 
-    def socket_enqueued(self, packet, sid, depth):
+    def socket_enqueued(self, packet, socket, depth):
         """Datagram landed in a socket backlog ``depth`` entries deep."""
         tree = self._tree(packet)
         if tree is None:
             return
-        self._open(tree, "socket_wait", self.clock(), sid=sid, depth=depth)
+        self._open(tree, "socket_wait", self.clock(), sid=socket.sid,
+                   depth=depth)
 
     def drop(self, packet, reason):
         """The stack dropped this packet; the tree ends incomplete."""
@@ -465,104 +466,3 @@ class SpanTracer:
             f"<SpanTracer every={self.sample_every} sampled={self.sampled} "
             f"done={len(self._done)} live={len(self._live)}>"
         )
-
-
-class NullSpanTracer:
-    """Disabled tracer: every seam call is a no-op, every view empty."""
-
-    enabled = False
-    sample_every = 0
-    capacity = 0
-    seen = 0
-    sampled = 0
-    completed_count = 0
-    aborted_count = 0
-    live = 0
-
-    def nic_arrival(self, packet):
-        pass
-
-    def nic_delivered(self, packet, queue_index):
-        pass
-
-    def decision(self, packet, hook, outcome, value=None, fd=None, seq=None):
-        pass
-
-    def softirq_begin(self, packet, core_index, depth):
-        pass
-
-    def softirq_end(self, packet):
-        pass
-
-    def socket_enqueued(self, packet, sid, depth):
-        pass
-
-    def drop(self, packet, reason):
-        pass
-
-    def qdisc_enqueued(self, packet, layer, rank, backend):
-        pass
-
-    def qdisc_dequeued(self, packet):
-        pass
-
-    def switch_arrival(self, request):
-        pass
-
-    def switch_steer(self, request, machine, policy, resteer=False):
-        pass
-
-    def xnet_begin(self, request, direction, machine):
-        pass
-
-    def xnet_end(self, request):
-        pass
-
-    def machine_enqueued(self, request, machine, depth):
-        pass
-
-    def machine_requeued(self, request):
-        pass
-
-    def fleet_service_begin(self, request, machine):
-        pass
-
-    def fleet_service_end(self, request):
-        pass
-
-    def fleet_complete(self, request):
-        pass
-
-    def fleet_drop(self, request, reason):
-        pass
-
-    def thread_runnable(self, thread):
-        pass
-
-    def placement_begin(self, thread, core_id):
-        pass
-
-    def placement_abort(self, thread):
-        pass
-
-    def service_begin(self, thread, token):
-        pass
-
-    def service_end(self, thread, token):
-        pass
-
-    def trees(self, complete=None):
-        return []
-
-    def to_chrome_trace(self, destination):
-        return 0
-
-    def __len__(self):
-        return 0
-
-    def __repr__(self):
-        return "<NullSpanTracer>"
-
-
-#: Shared singleton used whenever span tracing is disabled.
-NULL_SPANS = NullSpanTracer()

@@ -1,7 +1,7 @@
 """Measurement utilities: latency distributions, counters, result tables."""
 
 from repro.stats.latency import LatencyRecorder
-from repro.stats.meters import Counter, WindowedRate
+from repro.stats.meters import Counter
 from repro.stats.results import Row, Table, format_table
 
 __all__ = [
@@ -9,6 +9,5 @@ __all__ = [
     "LatencyRecorder",
     "Row",
     "Table",
-    "WindowedRate",
     "format_table",
 ]

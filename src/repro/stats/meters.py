@@ -1,6 +1,6 @@
-"""Counters and rate meters."""
+"""Tag-keyed counters."""
 
-__all__ = ["Counter", "WindowedRate"]
+__all__ = ["Counter"]
 
 
 class Counter:
@@ -26,29 +26,3 @@ class Counter:
 
     def __repr__(self):
         return f"Counter({self._counts!r})"
-
-
-class WindowedRate:
-    """Converts a counter measured over a time window into a rate.
-
-    >>> rate = WindowedRate(start=1000.0)
-    >>> rate.add(1500.0)
-    >>> rate.add(2000.0)
-    >>> rate.per_second(end=2000.0)  # 2 events over 1000 us
-    2000.0
-    """
-
-    def __init__(self, start=0.0):
-        self.start = start
-        self.count = 0
-
-    def add(self, now, n=1):
-        if now >= self.start:
-            self.count += n
-
-    def per_second(self, end):
-        """Rate in events/second over [start, end] (times in microseconds)."""
-        window_us = end - self.start
-        if window_us <= 0:
-            return 0.0
-        return self.count / (window_us / 1e6)

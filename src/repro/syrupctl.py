@@ -249,7 +249,7 @@ def render_tenants(machine):
     and each tenant's worst aggressor.
     """
     acct = machine.obs.acct
-    if not acct.enabled:
+    if acct is None:
         return (
             "tenant accounting disabled on this machine "
             "(construct it with Machine(accounting=True))"
@@ -593,7 +593,7 @@ def render_spans(machine, last=10):
     one indented line per span with its duration and attributes.
     """
     tracer = machine.obs.spans
-    if not tracer.enabled:
+    if tracer is None:
         return (
             "span tracing disabled on this machine "
             "(construct it with Machine(spans=<sample-every>))"
@@ -627,7 +627,7 @@ def render_tail(machine, lo_pct=50.0, hi_pct=99.0):
     from repro.obs.tail import critical_path, render_critical_path
 
     tracer = machine.obs.spans
-    if not tracer.enabled:
+    if tracer is None:
         return (
             "span tracing disabled on this machine "
             "(construct it with Machine(spans=<sample-every>))"
@@ -644,13 +644,11 @@ def run_stats_demo(load=120_000, duration_ms=100.0, seed=7):
     """Drive the canned observability demo: one Figure-6-style point.
 
     A RocksDB server under the 99.5% GET / 0.5% SCAN mix with the SCAN
-    Avoid policy at the Socket Select hook, metrics enabled, and a
-    request tracer bridged into the event trace.  Returns the finished
-    machine for rendering.
+    Avoid policy at the Socket Select hook and metrics enabled.  Returns
+    the finished machine for rendering.
     """
     from repro.experiments.runner import RocksDbTestbed
     from repro.policies.builtin import SCAN_AVOID
-    from repro.trace import RequestTracer
     from repro.workload.mixes import GET_SCAN_995_005
 
     testbed = RocksDbTestbed(
@@ -658,8 +656,6 @@ def run_stats_demo(load=120_000, duration_ms=100.0, seed=7):
         mark_scans=True, seed=seed, metrics=True,
     )
     duration_us = duration_ms * 1000.0
-    RequestTracer(testbed.machine, testbed.server,
-                  warmup_us=duration_us * 0.25)
     gen = testbed.drive(load, GET_SCAN_995_005, duration_us,
                         warmup_us=duration_us * 0.25)
     gen.start()
@@ -977,6 +973,8 @@ def main(argv=None):
                         help=("also export the metrics registry in "
                               "OpenMetrics text format"))
     args = parser.parse_args(argv)
+    if args.spans_every < 1:
+        parser.error("--spans-every must be >= 1")
 
     if args.view == "timeline":
         kwargs = {"interval_ms": args.interval_ms}

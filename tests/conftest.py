@@ -1,8 +1,10 @@
-"""Shared test helpers: random policy-program and packet generators.
+"""Shared test helpers: a run fingerprint, random policy programs and
+random packets.
 
-Used by the hypothesis property suites (toolchain equivalence, optimizer
-equivalence).  Programs are random ASTs in the safe subset, so these also
-fuzz the compiler and verifier.
+:func:`fingerprint` is what every paired-run test compares.  The random
+generators feed the hypothesis property suites (toolchain equivalence,
+optimizer equivalence); programs are random ASTs in the safe subset, so
+they also fuzz the compiler and verifier.
 """
 
 import random
@@ -10,6 +12,25 @@ import random
 from repro.net.packet import FiveTuple, Packet
 
 GEN_FLOW = FiveTuple(0x0A000002, 40001, 0x0A000001, 8080, 17)
+
+
+def fingerprint(machine, gen):
+    """Everything a figure table is computed from, bit for bit: every
+    latency sample, the per-tag samples, the drop fraction, the netstack
+    drop counters and the final sim time.
+
+    ``machine`` may also be a testbed (anything with a ``.machine``), so
+    ``fingerprint(*run_point(...))`` works as it stands.
+    """
+    machine = getattr(machine, "machine", machine)
+    latency = gen.latency
+    return (
+        tuple(latency._samples),
+        {tag: tuple(latency._select(tag)) for tag in latency.tags()},
+        gen.drop_fraction(),
+        dict(machine.netstack.drops),
+        machine.now,
+    )
 
 _LOCALS = ["a", "b", "c"]
 _GLOBALS = ["g0", "g1"]

@@ -3,9 +3,8 @@
 Home of the **no-op audit** the :mod:`repro.obs.accounting` docstring
 points at: by default (and with ``accounting=False``) a figure6-style
 run allocates not a single accounting object — no accountant, no
-ledger, no blame matrix — and its simulation output is bit-identical to
-the same seed with accounting *enabled*, because the accountant only
-ever reads the datapath.
+ledger, no blame matrix.  That accounting *enabled* leaves the run
+bit-identical is one case of ``tests/test_obs.py``'s observer-set test.
 
 Also covers: the OpenMetrics ``tenant:<name>`` scope convention (label
 escaping round-trips arbitrary tenant names), per-tenant sketch summary
@@ -18,15 +17,11 @@ tenants`` are built on.
 import re
 
 import pytest
+from conftest import fingerprint
 
 from repro.experiments.figure_interference import run_variant
 from repro.experiments.runner import RocksDbTestbed, run_point
-from repro.obs.accounting import (
-    LAYERS,
-    NULL_ACCOUNTING,
-    TenantAccountant,
-    TenantLedger,
-)
+from repro.obs.accounting import LAYERS, TenantAccountant, TenantLedger
 from repro.obs.export import to_openmetrics
 from repro.obs.interference import (
     BlameMatrix,
@@ -285,24 +280,13 @@ def test_tenant_shed_controller_caps_at_max_level():
 
 
 # ----------------------------------------------------------------------
-# The no-op audit: disabled means bit-identical and allocation-free
+# The no-op audit: disabled means allocation-free
 # ----------------------------------------------------------------------
-def fingerprint(testbed, gen):
-    """Everything a figure table is computed from, bit-for-bit."""
-    return (
-        tuple(gen.latency._samples),
-        {tag: tuple(gen.latency._select(tag)) for tag in gen.latency.tags()},
-        gen.drop_fraction(),
-        dict(testbed.machine.netstack.drops),
-        testbed.machine.now,
-    )
-
-
 def test_machine_defaults_leave_the_accountant_null():
     testbed = RocksDbTestbed(seed=3)
-    assert testbed.machine.obs.acct is NULL_ACCOUNTING
-    assert not testbed.machine.obs.acct.enabled
-    assert testbed.machine.obs.acct.snapshot() == {"tenants": [], "blame": {}}
+    assert testbed.machine.obs.acct is None
+    assert not testbed.machine.obs.observer.enabled
+    assert testbed.machine.syrupd.tenants() == {"tenants": [], "blame": {}}
 
 
 def test_default_runs_allocate_no_accounting_objects_and_stay_identical(
@@ -344,9 +328,8 @@ def test_default_runs_allocate_no_accounting_objects_and_stay_identical(
     assert counts == {"TenantAccountant": 0, "TenantLedger": 0,
                       "BlameMatrix": 0}
 
-    # the accountant reads the datapath, never steers it: the same seed
-    # with accounting ON and tenant-labeled traffic is still the same run
-    assert default == figure6_point(tenant="alpha", accounting=True)
+    # the probe is live: an enabled build allocates the accountant
+    figure6_point(tenant="alpha", accounting=True)
     assert counts["TenantAccountant"] == 1
     assert counts["TenantLedger"] >= 1
 

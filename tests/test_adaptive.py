@@ -7,6 +7,7 @@ single signal object (sketch, bus, tracker, or objective).
 """
 
 import pytest
+from conftest import fingerprint
 
 from repro.core.signals import NULL_SIGNALS, NullSignalBus, SignalBus
 from repro.experiments.figure8 import run_figure8_dynamic
@@ -244,17 +245,6 @@ def test_closed_loop_is_deterministic(adaptive_table):
 # ----------------------------------------------------------------------
 # The no-op audit: disabled means bit-identical and allocation-free
 # ----------------------------------------------------------------------
-def fingerprint(testbed, gen):
-    """Everything a figure table is computed from, bit-for-bit."""
-    return (
-        tuple(gen.latency._samples),
-        {tag: tuple(gen.latency._select(tag)) for tag in gen.latency.tags()},
-        gen.drop_fraction(),
-        dict(testbed.machine.netstack.drops),
-        testbed.machine.now,
-    )
-
-
 def test_machine_defaults_leave_the_signal_plane_absent():
     testbed = RocksDbTestbed(seed=3)
     assert testbed.machine.signals is NULL_SIGNALS

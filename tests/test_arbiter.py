@@ -10,6 +10,7 @@ objects and simulates bit-identically.
 """
 
 import pytest
+from conftest import fingerprint
 
 from repro.experiments.figure_oversub import (
     SLO_P99_US,
@@ -53,7 +54,7 @@ def make_arbiter(n_cores=4, floors=(1, 1), with_acct=False):
     cores = [Core(i) for i in range(n_cores)]
     kwargs = {}
     if with_acct:
-        kwargs["acct"] = TenantAccountant(clock=lambda: engine.now)
+        kwargs["observer"] = TenantAccountant(clock=lambda: engine.now)
     arbiter = CoreArbiter(engine, cores, **kwargs)
     scheds = {}
     for name, floor in zip(("alpha", "bravo"), floors):
@@ -118,7 +119,7 @@ def test_move_is_revoke_plus_grant():
 def test_occupancy_books_to_class_totals_and_tenant_ledgers():
     engine, arbiter, _scheds = make_arbiter(n_cores=2, floors=(0, 0),
                                             with_acct=True)
-    acct = arbiter.acct
+    acct = arbiter.observer
     arbiter.grant(0, "alpha")
     arbiter.grant(1, "bravo")
     engine.at(100.0, arbiter.move, 0, "bravo")
@@ -398,15 +399,6 @@ def test_figure_oversub_is_deterministic():
 # ----------------------------------------------------------------------
 # The no-op audit: no arbiter means zero objects and bit-identical runs
 # ----------------------------------------------------------------------
-def _fingerprint(testbed, gen):
-    return (
-        tuple(gen.latency._samples),
-        gen.drop_fraction(),
-        dict(testbed.machine.netstack.drops),
-        testbed.machine.now,
-    )
-
-
 def test_default_machines_leave_the_arbiter_absent():
     testbed = RocksDbTestbed(seed=3)
     assert testbed.machine.arbiter is None
@@ -449,7 +441,7 @@ def test_disabled_runs_allocate_no_arbiter_objects_and_stay_identical(
         def factory():
             return RocksDbTestbed(seed=3)
 
-        return _fingerprint(*run_point(
+        return fingerprint(*run_point(
             factory, 100_000, GET_SCAN_995_005, 60_000.0, 15_000.0
         ))
 

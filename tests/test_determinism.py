@@ -6,6 +6,7 @@ engine, RNG streams, and every component that consumes them.
 """
 
 import pytest
+from conftest import fingerprint
 
 from repro import Hook, Machine, set_a, set_b
 from repro.apps.mica import MicaServer
@@ -26,10 +27,7 @@ def rocksdb_fingerprint(seed):
     server.response_sink = gen.deliver_response
     gen.start()
     machine.run()
-    return (
-        gen.latency.count,
-        round(gen.latency.p99(), 9),
-        round(gen.latency.mean(), 9),
+    return fingerprint(machine, gen) + (
         tuple(s.enqueued for s in server.sockets),
         machine.engine.events_dispatched,
     )
@@ -52,8 +50,9 @@ def mica_fingerprint(seed):
     server.response_sink = gen.deliver_response
     gen.start()
     machine.run()
-    return (gen.latency.count, round(gen.latency.p999(), 9),
-            server.handoffs, machine.engine.events_dispatched)
+    return fingerprint(machine, gen) + (
+        server.handoffs, machine.engine.events_dispatched,
+    )
 
 
 def test_mica_run_is_deterministic():
@@ -61,7 +60,7 @@ def test_mica_run_is_deterministic():
 
 
 def test_ghost_run_is_deterministic():
-    def fingerprint():
+    def ghost_fingerprint():
         from repro.policies.thread_policies import GetPriorityPolicy
         from repro.workload.mixes import GET_SCAN_50_50
 
@@ -76,10 +75,11 @@ def test_ghost_run_is_deterministic():
         gen.start()
         machine.run()
         agent = deployed.agent
-        return (gen.latency.count, round(gen.latency.p99(), 9),
-                agent.commits, agent.preemptions, agent.messages_processed)
+        return fingerprint(machine, gen) + (
+            agent.commits, agent.preemptions, agent.messages_processed,
+        )
 
-    assert fingerprint() == fingerprint()
+    assert ghost_fingerprint() == ghost_fingerprint()
 
 
 def test_experiment_harness_is_deterministic():
@@ -114,9 +114,7 @@ def faulty_fingerprint(plan_seed):
     machine.run()
     trace = io.StringIO()
     machine.obs.events.to_jsonl(trace)
-    return (
-        gen.latency.count,
-        round(gen.latency.p99(), 9),
+    return fingerprint(machine, gen) + (
         machine.obs.snapshot(),
         trace.getvalue(),
         machine.engine.events_dispatched,

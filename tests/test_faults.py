@@ -7,6 +7,7 @@ without the module in play at all.
 """
 
 import pytest
+from conftest import fingerprint
 
 from repro import FaultPlan, HealthPolicy, Hook, Machine, set_a, set_b
 from repro.apps.mica import MicaServer
@@ -120,19 +121,16 @@ def drive_rocksdb(faults=None, health=None, rate=40_000, duration=30_000,
     return machine, server, gen
 
 
-def _fingerprint(faults):
-    machine, server, gen = drive_rocksdb(faults=faults, metrics=False)
-    return (
-        gen.latency.count,
-        round(gen.latency.p99(), 9),
-        tuple(s.enqueued for s in server.sockets),
-        machine.engine.events_dispatched,
-    )
-
-
 def test_empty_plan_is_bit_identical_to_no_faults():
     """Machine(faults=None) and an empty plan schedule zero extra events."""
-    assert _fingerprint(None) == _fingerprint(FaultPlan(seed=5))
+    def run(faults):
+        machine, server, gen = drive_rocksdb(faults=faults, metrics=False)
+        return fingerprint(machine, gen) + (
+            tuple(s.enqueued for s in server.sockets),
+            machine.engine.events_dispatched,
+        )
+
+    assert run(None) == run(FaultPlan(seed=5))
 
 
 def test_vmfault_rate_one_drops_every_request():

@@ -3,31 +3,41 @@
 Covers metric semantics (counter/gauge/histogram), label-cardinality
 enforcement, the no-op disabled mode, the event-trace ring, end-to-end
 instrumentation of a deployed SOCKET_SELECT policy, the determinism
-contract (metrics on/off gives identical results), ghOSt agent counters,
+contract (no set of observers changes a result), ghOSt agent counters,
 and the syrupctl rendering surface.
 """
 
+import functools
 import json
+from unittest import mock
 
 import pytest
+from conftest import fingerprint
 
 from repro import Hook, Machine, set_a
 from repro.apps.rocksdb import RocksDbServer
 from repro.core.syrupd import IsolationError
 from repro.ebpf.errors import VerifierError
+from repro.experiments import figure_oversub
+from repro.experiments.runner import RocksDbTestbed
 from repro.obs import (
     DISABLED,
     NULL_EVENTS,
     NULL_METRIC,
+    NULL_OBSERVER,
     NULL_REGISTRY,
     CardinalityError,
     EventTrace,
+    Fanout,
     MetricsRegistry,
     Observability,
+    Observer,
+    SpanTracer,
+    TenantAccountant,
 )
 from repro.policies.builtin import SCAN_AVOID
+from repro.qdisc import SRPT_BY_SIZE
 from repro.syrupctl import render_stats, run_stats_demo
-from repro.trace import RequestTracer
 from repro.workload.generator import OpenLoopGenerator
 from repro.workload.mixes import GET_SCAN_995_005
 
@@ -221,6 +231,88 @@ def test_event_filtering():
 
 
 # ----------------------------------------------------------------------
+# The determinism contract: no set of observers changes a result
+# ----------------------------------------------------------------------
+#: Observer sets, as Machine keyword arguments.
+OBSERVER_SETS = {
+    "none": {},
+    "metrics": {"metrics": True},
+    "metrics+timeseries": {"metrics": True, "timeseries": 1_000.0},
+    "spans=1": {"spans": 1},
+    "spans=7": {"spans": 7},
+    "accounting": {"accounting": True},
+    "spans+accounting": {"spans": 1, "accounting": True},
+    "everything": {"metrics": True, "timeseries": 1_000.0, "spans": 1,
+                   "accounting": True},
+}
+
+
+def _scan_avoid_srpt(observers):
+    """Tenant-stamped Fig 6 SCAN Avoid point behind a socket SRPT qdisc:
+    NIC, softirq, hook, socket and qdisc seams, plus drops (the short
+    backlogs overflow and evict)."""
+    config = set_a()
+    config.socket_backlog = 8
+    testbed = RocksDbTestbed(
+        config=config,
+        policy=(SCAN_AVOID, Hook.SOCKET_SELECT, {"NUM_THREADS": 6}),
+        mark_scans=True, mark_sizes=True,
+        qdisc=(SRPT_BY_SIZE, "socket", "pifo"), seed=3, **observers,
+    )
+    gen = testbed.drive(250_000, GET_SCAN_995_005, 40_000.0, 10_000.0,
+                        tenant="t")
+    gen.start()
+    testbed.machine.run()
+    return testbed.machine, (gen,)
+
+
+def _elastic_oversub(observers):
+    """figure_oversub's elastic variant, short: CFS, ghOSt placement and
+    core-occupancy seams.  The variant builds its machine with accounting
+    on; here the observer set decides."""
+    def machine(*args, **kwargs):
+        kwargs["accounting"] = False
+        kwargs.update(observers)
+        return Machine(*args, **kwargs)
+
+    with mock.patch.object(figure_oversub, "Machine", machine):
+        staged = figure_oversub.stage_variant(
+            "elastic", 25_000, 6.0, 60_000.0, 6_000.0, seed=5,
+        )
+    staged[0].run()
+    return staged[0], staged[1:3]
+
+
+SCENARIOS = {"scan_avoid_srpt": _scan_avoid_srpt,
+             "elastic_oversub": _elastic_oversub}
+
+
+@functools.lru_cache(maxsize=None)
+def _outcome(scenario, observer_set):
+    machine, gens = SCENARIOS[scenario](OBSERVER_SETS[observer_set])
+    prints = [fingerprint(machine, gen) for gen in gens]
+    completed = [gen.completed.as_dict() for gen in gens]
+    return prints, completed, machine.engine.events_dispatched
+
+
+@pytest.mark.parametrize("observer_set", OBSERVER_SETS)
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_observers_never_change_results(scenario, observer_set):
+    prints, completed, events = _outcome(scenario, observer_set)
+    null_prints, null_completed, null_events = _outcome(scenario, "none")
+    assert completed == null_completed
+    if "timeseries" in OBSERVER_SETS[observer_set]:
+        # The flight recorder samples on past the last request: its ticks
+        # are engine events of their own and move the final sim time
+        # (the fingerprint's last field).
+        prints = [p[:-1] for p in prints]
+        null_prints = [p[:-1] for p in null_prints]
+    else:
+        assert events == null_events
+    assert prints == null_prints
+
+
+# ----------------------------------------------------------------------
 # End-to-end: a deployed SOCKET_SELECT policy increments its counters
 # ----------------------------------------------------------------------
 def _busy_machine(metrics):
@@ -273,14 +365,6 @@ def test_deployed_policy_increments_hook_counters():
     assert 0.0 < event["ts"] <= machine.now
 
 
-def test_metrics_do_not_change_results():
-    """The determinism contract: metrics on/off is observationally inert."""
-    _m_off, gen_off = _busy_machine(metrics=False)
-    _m_on, gen_on = _busy_machine(metrics=True)
-    assert gen_off.latency.p99() == gen_on.latency.p99()
-    assert gen_off.latency.count == gen_on.latency.count
-
-
 def test_status_rows_carry_metrics_when_enabled():
     machine, _gen = _busy_machine(metrics=True)
     row = machine.syrupd.status()[0]
@@ -311,28 +395,6 @@ def schedule(pkt):
     assert machine.obs.registry.value("bad", "syrupd",
                                       "verifier_rejections") == 1
     assert machine.obs.events.events(kind="verifier_reject")
-
-
-def test_request_tracer_bridges_into_event_trace():
-    machine = Machine(set_a(), seed=101, metrics=True)
-    app = machine.register_app("rocksdb", ports=[8080])
-    server = RocksDbServer(machine, app, 8080, 6)
-    tracer = RequestTracer(machine, server)
-    gen = OpenLoopGenerator(machine, 8080, 40_000, GET_SCAN_995_005,
-                            duration_us=10_000)
-    server.response_sink = gen.deliver_response
-    gen.start()
-    machine.run()
-    requests = machine.obs.events.events(kind="request")
-    assert requests
-    event = requests[0]
-    for field in ("wire_nic", "stack", "socket_wait", "service", "total"):
-        assert field in event
-    assert event["total"] == pytest.approx(
-        event["wire_nic"] + event["stack"] + event["socket_wait"]
-        + event["service"]
-    )
-    assert tracer.stages["total"].count == len(requests)
 
 
 def test_ghost_agent_counters():
@@ -525,6 +587,47 @@ def test_open_destination_contract(tmp_path):
         fh.write("via file\n")
     buf.write("still open\n")  # caller keeps ownership; not closed
     assert buf.getvalue() == "via file\nstill open\n"
+
+
+def test_observability_picks_null_single_or_fanout_observer():
+    assert Observability().observer is NULL_OBSERVER
+    spans = Observability(spans=1)
+    assert isinstance(spans.observer, SpanTracer)
+    assert spans.observer is spans.spans and spans.acct is None
+    acct = Observability(accounting=True)
+    assert isinstance(acct.observer, TenantAccountant)
+    assert acct.observer is acct.acct and acct.spans is None
+    both = Observability(spans=1, accounting=True)
+    assert isinstance(both.observer, Fanout)
+    assert both.observer.observers == (both.spans, both.acct)
+
+
+def test_fanout_calls_each_overriding_observer_once_in_order():
+    calls = []
+
+    class First(Observer):
+        def nic_arrival(self, packet):
+            calls.append(("first", packet))
+
+        def decision(self, packet, hook, outcome, value=None, fd=None,
+                     seq=None):
+            calls.append(("first", packet, hook, outcome, value, fd, seq))
+
+    class Second(Observer):
+        def nic_arrival(self, packet):
+            calls.append(("second", packet))
+
+    first = First()
+    fanout = Fanout(first, Second())
+    fanout.nic_arrival("p")
+    fanout.decision("p", "socket_select", "pass", fd=3)
+    fanout.drop("p", "overflow")  # nobody overrides it: the base no-op
+    assert calls == [
+        ("first", "p"), ("second", "p"),
+        ("first", "p", "socket_select", "pass", None, 3, None),
+    ]
+    # a seam only one subscriber overrides is bound to it directly
+    assert fanout.decision == first.decision
 
 
 def test_observability_handle_repr():

@@ -17,6 +17,7 @@ lifecycle"):
 """
 
 import pytest
+from conftest import fingerprint
 
 from repro import FaultPlan
 from repro.cluster import Fleet, FleetRequest, JsqSteering, ShadowSteering
@@ -200,15 +201,6 @@ def test_good_candidate_walks_shadow_canary_active():
     assert gen.completed_in_window() > 0
 
 
-def _fingerprint(testbed, gen):
-    return (
-        tuple(gen.latency._samples),
-        gen.drop_fraction(),
-        dict(testbed.machine.netstack.drops),
-        testbed.machine.now,
-    )
-
-
 def test_shadow_verdicts_are_recorded_never_enforced():
     """A shadow-only run is bit-identical to a vanilla run."""
     def vanilla():
@@ -216,7 +208,7 @@ def test_shadow_verdicts_are_recorded_never_enforced():
             lambda: _promotion_testbed(), 100_000, GET_SCAN_995_005,
             60_000.0, 15_000.0,
         )
-        return _fingerprint(testbed, gen)
+        return fingerprint(testbed, gen)
 
     testbed = _promotion_testbed()
     gen, record = _run_with_shadow(
@@ -228,7 +220,7 @@ def test_shadow_verdicts_are_recorded_never_enforced():
     assert record.diff.decisions > 0
     assert record.diff.agreement() > 0.9  # tiered agrees on the GETs
     assert record.canary_enforced == 0
-    assert _fingerprint(testbed, gen) == vanilla()
+    assert fingerprint(testbed, gen) == vanilla()
 
 
 def test_shadow_fault_rejects_candidate_without_touching_live_traffic():

@@ -17,6 +17,7 @@ Locks the tentpole's end-to-end contracts:
 """
 
 import pytest
+from conftest import fingerprint
 
 from repro.core.health import HealthPolicy
 from repro.faults import FaultPlan
@@ -48,17 +49,6 @@ def drive_socket_point(qdisc, seed=3, load=LOAD, mark_sizes=None):
         )
 
     return run_point(factory, load, GET_SCAN_995_005, DURATION_US, WARMUP_US)
-
-
-def fingerprint(testbed, gen):
-    """Everything a figure table is computed from, bit-for-bit."""
-    return (
-        tuple(gen.latency._samples),
-        {tag: tuple(gen.latency._select(tag)) for tag in gen.latency.tags()},
-        gen.drop_fraction(),
-        dict(testbed.machine.netstack.drops),
-        testbed.machine.now,
-    )
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 from repro.obs import FlightRecorder, MetricsRegistry
 from repro.obs.export import to_openmetrics
 from repro.obs.registry import NULL_METRIC, NullRegistry
-from repro.obs.sketch import DDSketch, DEFAULT_ALPHA, Ewma, WindowedRate
+from repro.obs.sketch import DDSketch, DEFAULT_ALPHA
 from repro.sim.engine import Engine
 
 QUANTILES = [0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1.0]
@@ -138,36 +138,6 @@ def test_summary_and_mean():
     assert s["mean"] == pytest.approx(20.0)
     assert s["min"] == 10.0 and s["max"] == 30.0
     assert s["p50"] == pytest.approx(20.0, rel=DEFAULT_ALPHA)
-
-
-# ----------------------------------------------------------------------
-# Windowed estimators
-# ----------------------------------------------------------------------
-def test_windowed_rate_ages_out_old_events():
-    clock = {"now": 0.0}
-    rate = WindowedRate(lambda: clock["now"], window_us=100.0, buckets=10)
-    for t in (5.0, 15.0, 25.0):
-        clock["now"] = t
-        rate.observe()
-    assert rate.events_in_window() == 3
-    assert rate.rate_per_s() == pytest.approx(3 * 1e6 / 25.0)
-    clock["now"] = 120.0   # first bins now beyond the window
-    assert rate.events_in_window() == 0
-    with pytest.raises(ValueError):
-        WindowedRate(lambda: 0.0, window_us=0)
-
-
-def test_ewma_halflife_decay():
-    clock = {"now": 0.0}
-    ewma = Ewma(lambda: clock["now"], halflife_us=100.0)
-    assert ewma.read(default=-1.0) == -1.0
-    ewma.update(10.0)
-    assert ewma.read() == 10.0
-    clock["now"] = 100.0   # exactly one half-life later
-    ewma.update(20.0)
-    assert ewma.read() == pytest.approx(15.0)
-    with pytest.raises(ValueError):
-        Ewma(lambda: 0.0, halflife_us=0)
 
 
 # ----------------------------------------------------------------------
